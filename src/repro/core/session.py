@@ -1162,8 +1162,8 @@ class TcplsSession:
         plaintext = framing.encode_frame(ttype, seq, body)
         inner = plaintext + bytes([ttype])
         header = record_header(ContentType.APPLICATION_DATA, len(inner) + 16)
-        # seal() routes large records through the keystream lookahead
-        # cache (bit-identical to aead.encrypt at this nonce).
+        # seal() routes records through the keystream readahead window
+        # (bit-identical to aead.encrypt at this nonce).
         sealed = cipher.seal(inner, header)
         cipher.advance()
         conn.tcp.send(header + sealed)

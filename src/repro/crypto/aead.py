@@ -5,16 +5,21 @@ This is the single cipher suite the TLS stack uses
 ``CryptoError`` — TCPLS counts those as forgery attempts when doing
 trial decryption across per-stream contexts (paper section 2.3).
 
-Fast path (``fastpath`` feature ``crypto.batch``): for multi-block
-records the Poly1305 one-time key and the payload keystream come out of
-a *single* vectorized ``chacha20_keystream`` call (blocks 0..n), and the
-tag is computed by the batched Poly1305.  The scalar construction below
-is the reference; both produce bit-identical output and the scalar path
-engages automatically when numpy is missing or the record is small.
+Fast path (``fastpath`` feature ``crypto.batch``): this module is the one
+place that chooses between the scalar ChaCha20 block function and a
+numpy keystream pass, for seal and open alike, by one measured crossover
+(``NUMPY_MIN_BLOCKS``).  A seal of that many blocks or more takes the
+one-time key and the payload keystream from a single numpy pass (blocks
+0..n).  An open always checks the tag first, with a one-block scalar
+one-time key, and only then generates the payload keystream, so a failed
+trial decryption costs one block and the MAC.  Tags of long inputs go
+through the batched Poly1305.  The scalar construction is the reference;
+both produce bit-identical output, and the scalar path is the only one
+when numpy is missing or the flag is off.
 
-``seal_with_keystream`` / ``open_with_keystream`` additionally let the
-record layer supply keystream bytes it precomputed for several future
-records at once (see the lookahead cache in ``repro.tls.record``).
+``seal_with_keystream`` / ``open_with_keystream`` let the record layer
+supply keystream it generated for several records at once (the
+readahead window in ``repro.tls.record``), which uses the same crossover.
 """
 
 from __future__ import annotations
@@ -30,19 +35,23 @@ from repro.utils.errors import CryptoError
 try:  # numpy is baked into the image, but the scalar path must survive
     from repro.crypto.chacha20_fast import chacha20_keystream, xor_keystream
 
-    _HAVE_NUMPY = True
+    HAVE_NUMPY = True
 except ImportError:  # pragma: no cover - exercised via fastpath flags
-    _HAVE_NUMPY = False
-
-#: Exposed so the record layer can gate its keystream lookahead cache.
-HAVE_NUMPY = _HAVE_NUMPY
+    HAVE_NUMPY = False
 
 TAG_LENGTH = 16
 KEY_LENGTH = 32
 NONCE_LENGTH = 12
 
-#: Payload size from which the one-call keystream path pays off.
-BATCH_MIN_PAYLOAD = 256
+#: Keystream blocks from which one numpy pass is cheaper than that many
+#: scalar ``chacha20_block`` calls: the only ChaCha20 size threshold.
+#: Measured on a 2-core x86-64 VM (Python 3.11, numpy 2.4): a scalar
+#: block costs 0.075-0.09 ms and a numpy pass 0.40-0.50 ms at 1-64 blocks
+#: (0.5-0.8 ms at 257).  Timing ``encrypt`` and ``decrypt`` with the
+#: ChaCha20 part forced each way (min of 15 alternating rounds, 2-11
+#: blocks), the two tie at 5 blocks and numpy is ahead from 6 on, for
+#: seal and open alike.
+NUMPY_MIN_BLOCKS = 6
 
 
 def _pad16(data: bytes) -> bytes:
@@ -70,12 +79,23 @@ def _mac(otk: bytes, data: bytes) -> bytes:
     return poly1305_mac(otk, data)
 
 
-def _use_batch(payload_length: int) -> bool:
+def use_numpy(n_blocks: int) -> bool:
+    """True when ``n_blocks`` of keystream should come from one numpy pass."""
     return (
-        _HAVE_NUMPY
-        and payload_length >= BATCH_MIN_PAYLOAD
-        and fastpath.enabled("crypto.batch")
+        n_blocks >= NUMPY_MIN_BLOCKS
+        and HAVE_NUMPY
+        and fastpath.flags["crypto.batch"]
     )
+
+
+def _verify(otk: bytes, data: bytes, aad: bytes) -> bytes:
+    """The ciphertext part of ``data`` once its tag verifies under ``otk``."""
+    if len(data) < TAG_LENGTH:
+        raise CryptoError("ciphertext shorter than the AEAD tag")
+    ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
+    if not constant_time_equal(tag, _mac(otk, _auth_input(aad, ciphertext))):
+        raise CryptoError("AEAD tag verification failed")
+    return ciphertext
 
 
 def seal_with_keystream(keystream, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -94,13 +114,7 @@ def seal_with_keystream(keystream, plaintext: bytes, aad: bytes = b"") -> bytes:
 
 def open_with_keystream(keystream, data: bytes, aad: bytes = b"") -> bytes:
     """Verify + decrypt using externally supplied keystream bytes."""
-    if len(data) < TAG_LENGTH:
-        raise CryptoError("ciphertext shorter than the AEAD tag")
-    ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
-    otk = bytes(keystream[:32])
-    expected = _mac(otk, _auth_input(aad, ciphertext))
-    if not constant_time_equal(tag, expected):
-        raise CryptoError("AEAD tag verification failed")
+    ciphertext = _verify(bytes(keystream[:32]), data, aad)
     return xor_keystream(ciphertext, keystream[64 : 64 + len(ciphertext)])
 
 
@@ -116,35 +130,35 @@ class ChaCha20Poly1305:
             raise ValueError("ChaCha20-Poly1305 key must be 32 bytes")
         self._key = bytes(key)
 
-    def _keystream(self, nonce: bytes, payload_length: int) -> bytes:
-        """Blocks 0..n in one vectorized call: OTK + payload stream."""
-        n_blocks = 1 + (payload_length + 63) // 64
-        return chacha20_keystream(self._key, 0, nonce, n_blocks)
-
     def encrypt(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
         """Return ciphertext || 16-byte tag."""
         if len(nonce) != NONCE_LENGTH:
             raise ValueError("nonce must be 12 bytes")
-        if _use_batch(len(plaintext)):
-            return seal_with_keystream(
-                self._keystream(nonce, len(plaintext)), plaintext, aad
-            )
+        n_blocks = 1 + (len(plaintext) + 63) // 64
+        if use_numpy(n_blocks):
+            # Block 0 (the one-time key) and the payload blocks together.
+            keystream = chacha20_keystream(self._key, 0, nonce, n_blocks)
+            return seal_with_keystream(keystream, plaintext, aad)
         otk = poly1305_key_gen(self._key, nonce)
         ciphertext = chacha20_encrypt(self._key, 1, nonce, plaintext)
-        tag = poly1305_mac(otk, _auth_input(aad, ciphertext))
-        return ciphertext + tag
+        return ciphertext + _mac(otk, _auth_input(aad, ciphertext))
 
-    def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
-        """Verify the tag and return the plaintext, or raise ``CryptoError``."""
+    def verify(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
+        """Check the tag of ``data`` (ciphertext || tag) with a one-block
+        one-time key; return the ciphertext or raise ``CryptoError``."""
         if len(nonce) != NONCE_LENGTH:
             raise ValueError("nonce must be 12 bytes")
-        if len(data) < TAG_LENGTH:
-            raise CryptoError("ciphertext shorter than the AEAD tag")
-        ciphertext, tag = data[:-TAG_LENGTH], data[-TAG_LENGTH:]
-        # The tag is always verified before any payload keystream is
-        # generated, so a failed trial decryption costs only the MAC.
-        otk = poly1305_key_gen(self._key, nonce)
-        expected = _mac(otk, _auth_input(aad, ciphertext))
-        if not constant_time_equal(tag, expected):
-            raise CryptoError("AEAD tag verification failed")
+        return _verify(poly1305_key_gen(self._key, nonce), data, aad)
+
+    def decrypt(self, nonce: bytes, data: bytes, aad: bytes = b"") -> bytes:
+        """Verify the tag and return the plaintext, or raise ``CryptoError``.
+
+        The tag is verified before any payload keystream is generated, so
+        a failed trial decryption costs one scalar block and the MAC.
+        """
+        ciphertext = self.verify(nonce, data, aad)
+        n_blocks = (len(ciphertext) + 63) // 64
+        if use_numpy(n_blocks):
+            keystream = chacha20_keystream(self._key, 1, nonce, n_blocks)
+            return xor_keystream(ciphertext, keystream)
         return chacha20_encrypt(self._key, 1, nonce, ciphertext)

@@ -8,21 +8,23 @@ the scalar path remains the reference and the fallback.
 
 Two entry points:
 
-- :func:`chacha20_keystream` — blocks of one (key, nonce) stream, the
-  original API;
+- :func:`chacha20_keystream` — blocks of one (key, nonce) stream;
 - :func:`chacha20_keystream_multi` — blocks for *several nonces* of the
-  same key in one matrix.  Per-record numpy dispatch overhead dominates
-  at TLS record sizes (256 blocks ≈ 16 KiB), so batching the keystream
-  for the next R records into one call is worth ~8x on the record
-  datapath (see ``tls/record.py``'s keystream lookahead cache, which
-  exploits the deterministic ``iv XOR sequence`` nonce schedule).
+  same key in one matrix, which the record layer's readahead window uses
+  to cover the next records of one context (``tls/record.py``; the
+  nonce schedule ``iv XOR sequence`` is deterministic).
 
-The quarter-round works in place with one shared scratch row: rotations
-are two shifts and an OR into preallocated storage, so the 20 rounds
-allocate nothing beyond the state matrix itself.
-
-Throughput matters here because the network simulator pushes megabytes of
-application data through the TLS record layer.
+A pass costs mostly numpy call overhead, nearly the same for 1 block as
+for 257, so the matrix is worked row-wise: rows 0-3, 4-7, 8-11 and 12-15
+are four ``(4, n)`` arrays a, b, c and d, and one vectorized quarter
+round over them is all four column quarter rounds.  The diagonal round is
+the same quarter round on copies of b, c and d turned by one, two and
+three rows, which are turned back afterwards.  That is 400 ufunc calls
+and 60 row copies per pass, where working one state row at a time took
+1600 calls; a pass costs about a quarter of what it did (numbers in
+``aead.NUMPY_MIN_BLOCKS``'s comment).  Rotations are two shifts and an OR
+into preallocated scratch, so the rounds allocate nothing beyond the
+state.
 """
 
 from __future__ import annotations
@@ -34,56 +36,64 @@ import numpy as np
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 
+#: Left and right shift amounts of each rotation the quarter round uses.
+_SHIFTS = {count: (np.uint32(count), np.uint32(32 - count)) for count in (16, 12, 8, 7)}
+
+#: Row orders that line each diagonal up under row a: in the diagonal
+#: round, quarter round ``i`` takes a[i], b[i+1], c[i+2], d[i+3].
+_DIAGONAL = ([1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2])
+_UNDIAGONAL = ([3, 0, 1, 2], [2, 3, 0, 1], [1, 2, 3, 0])
+
 
 def _rotl_inplace(x: "np.ndarray", count: int, scratch: "np.ndarray") -> None:
-    np.right_shift(x, np.uint32(32 - count), out=scratch)
-    np.left_shift(x, np.uint32(count), out=x)
+    left, right = _SHIFTS[count]
+    np.right_shift(x, right, out=scratch)
+    np.left_shift(x, left, out=x)
     np.bitwise_or(x, scratch, out=x)
 
 
-def _quarter_round(
-    state: "np.ndarray", a: int, b: int, c: int, d: int, scratch: "np.ndarray"
+def _quarter_rounds(
+    a: "np.ndarray", b: "np.ndarray", c: "np.ndarray", d: "np.ndarray",
+    scratch: "np.ndarray",
 ) -> None:
-    sa, sb, sc, sd = state[a], state[b], state[c], state[d]
-    np.add(sa, sb, out=sa)
-    np.bitwise_xor(sd, sa, out=sd)
-    _rotl_inplace(sd, 16, scratch)
-    np.add(sc, sd, out=sc)
-    np.bitwise_xor(sb, sc, out=sb)
-    _rotl_inplace(sb, 12, scratch)
-    np.add(sa, sb, out=sa)
-    np.bitwise_xor(sd, sa, out=sd)
-    _rotl_inplace(sd, 8, scratch)
-    np.add(sc, sd, out=sc)
-    np.bitwise_xor(sb, sc, out=sb)
-    _rotl_inplace(sb, 7, scratch)
+    """Four quarter rounds at once: column ``i`` of a, b, c, d is one."""
+    np.add(a, b, out=a)
+    np.bitwise_xor(d, a, out=d)
+    _rotl_inplace(d, 16, scratch)
+    np.add(c, d, out=c)
+    np.bitwise_xor(b, c, out=b)
+    _rotl_inplace(b, 12, scratch)
+    np.add(a, b, out=a)
+    np.bitwise_xor(d, a, out=d)
+    _rotl_inplace(d, 8, scratch)
+    np.add(c, d, out=c)
+    np.bitwise_xor(b, c, out=b)
+    _rotl_inplace(b, 7, scratch)
 
 
 def _run_rounds(initial: "np.ndarray") -> bytes:
     state = initial.copy()
-    scratch = np.empty(initial.shape[1], dtype=np.uint32)
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            _quarter_round(state, 0, 4, 8, 12, scratch)
-            _quarter_round(state, 1, 5, 9, 13, scratch)
-            _quarter_round(state, 2, 6, 10, 14, scratch)
-            _quarter_round(state, 3, 7, 11, 15, scratch)
-            _quarter_round(state, 0, 5, 10, 15, scratch)
-            _quarter_round(state, 1, 6, 11, 12, scratch)
-            _quarter_round(state, 2, 7, 8, 13, scratch)
-            _quarter_round(state, 3, 4, 9, 14, scratch)
-        state += initial
+    # Rows 0-3, 4-7, 8-11 and 12-15 of the state as four (4, n) views.
+    rows = state.reshape(4, 4, -1)
+    a, b, c, d = rows
+    scratch = np.empty_like(a)
+    turned = np.empty_like(rows[1:])
+    tb, tc, td = turned
+    for _ in range(10):
+        _quarter_rounds(a, b, c, d, scratch)
+        for row, order, out in zip((b, c, d), _DIAGONAL, turned):
+            np.take(row, order, axis=0, out=out)
+        _quarter_rounds(a, tb, tc, td, scratch)
+        for row, order, out in zip(turned, _UNDIAGONAL, (b, c, d)):
+            np.take(row, order, axis=0, out=out)
+    state += initial
     # Column-major per block: transpose so each row is one block's 16 words.
     return state.T.astype("<u4").tobytes()
 
 
 def _base_state(key: bytes, n_columns: int) -> "np.ndarray":
-    key_words = struct.unpack("<8I", key)
     initial = np.empty((16, n_columns), dtype=np.uint32)
-    for i, word in enumerate(_CONSTANTS):
-        initial[i] = word
-    for i, word in enumerate(key_words):
-        initial[4 + i] = word
+    initial[:12] = np.array(_CONSTANTS + struct.unpack("<8I", key), dtype=np.uint32)[:, None]
     return initial
 
 

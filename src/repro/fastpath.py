@@ -28,9 +28,9 @@ from typing import Dict, Iterator
 
 #: Every known fast-path feature, and what it gates.
 FEATURES = (
-    # Batched Poly1305 + single-call / lookahead ChaCha20 keystream in
-    # the AEAD path (crypto/poly1305_fast.py, crypto/aead.py,
-    # tls/record.py keystream cache).
+    # Batched Poly1305 + numpy ChaCha20 keystream above one measured
+    # crossover in the AEAD path (crypto/poly1305_fast.py,
+    # crypto/aead.py, tls/record.py readahead window).
     "crypto.batch",
     # Trial-decryption context affinity: try the stream context that
     # authenticated the previous record first (core/contexts.py).

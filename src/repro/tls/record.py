@@ -12,12 +12,14 @@ can do trial decryption across per-stream cryptographic contexts
 (paper section 2.3).
 
 Fast path (``fastpath`` feature ``crypto.batch``): the nonce schedule is
-deterministic (``iv XOR sequence``), so a ``CipherState`` can precompute
-the ChaCha20 keystream for the next several record sequence numbers in
-one vectorized call and hand slices of it to the AEAD layer.  The cache
-is pure lookahead — sealing/opening through it is bit-identical to the
-per-record scalar construction, the sequence numbers advance exactly as
-before, and any key change drops the cache.
+deterministic (``iv XOR sequence``), so a ``CipherState`` can generate
+the ChaCha20 keystream of its next several records in one vectorized
+call and hand slices of it to the AEAD layer.  The window reads ahead
+only as far as the context has shown it will go: it starts at one record
+and doubles while windows are used to their end, and an open checks the
+tag before it builds one.  Sealing/opening through it is bit-identical
+to the per-record construction, the sequence numbers advance exactly as
+before, and any key change drops the window.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from __future__ import annotations
 import struct
 from typing import Callable, Iterator, List, Optional, Tuple
 
-from repro import fastpath
 from repro.crypto import aead as _aead
 from repro.crypto.aead import ChaCha20Poly1305, TAG_LENGTH
 from repro.crypto.keyschedule import TrafficKeys
@@ -33,7 +34,7 @@ from repro.utils.bytesio import ByteWriter
 from repro.utils.errors import CryptoError, InvalidValue, ProtocolViolation
 
 if _aead.HAVE_NUMPY:
-    from repro.crypto.chacha20_fast import chacha20_keystream_multi
+    from repro.crypto.chacha20_fast import chacha20_keystream_multi, xor_keystream
 
 
 class ContentType:
@@ -49,14 +50,12 @@ LEGACY_RECORD_VERSION = 0x0303
 # Per-record overhead once encrypted: header + inner type byte + AEAD tag.
 ENCRYPTED_OVERHEAD = RECORD_HEADER_LEN + 1 + TAG_LENGTH
 
-#: Record sequence numbers covered per lookahead keystream generation.
-#: numpy dispatch overhead is per-op, not per-element, so a wider window
-#: amortizes the ~1000 vector ops of a ChaCha20 pass over more records;
-#: 32 full-size records is ~0.5 MiB of cached keystream.
+#: Most record sequence numbers one readahead window covers.  A numpy
+#: pass costs little more for 257 blocks than for 1, so a longer window
+#: amortizes it over more records; 32 full-size records is about 0.5 MiB
+#: of keystream.  Windows start at one record and double up to this only
+#: while each window is used to its end (see ``CipherState``).
 LOOKAHEAD_RECORDS = 32
-#: Inner plaintexts below this size skip the lookahead (the one-call
-#: batch inside ``ChaCha20Poly1305`` already covers them adequately).
-_LOOKAHEAD_MIN_INNER = 1024
 
 
 def record_header(content_type: int, length: int) -> bytes:
@@ -68,20 +67,35 @@ def record_header(content_type: int, length: int) -> bytes:
 class CipherState:
     """One direction's AEAD key material plus its record sequence number.
 
-    Holds the keystream lookahead cache: because the per-record nonce is
+    Holds the keystream readahead window: because the per-record nonce is
     ``iv XOR sequence``, the keystream for sequences ``[base, base + R)``
-    can be generated in one vectorized pass and sliced per record.  The
-    cache is sized by the first record that misses it, so a bulk stream
-    of max-size records pays one generation per ``LOOKAHEAD_RECORDS``.
+    can be generated in one vectorized pass and sliced per record, each
+    record getting a slot of the size of the record that opened the
+    window.  A window starts at one record and doubles (up to
+    ``LOOKAHEAD_RECORDS``) only when the previous one was used up to its
+    end: every record in it fitted its slot and the last one filled it.
+    Steady full-size records (bulk transfer) so reach 32-record windows,
+    while mixed sizes keep windows at about what the records consume.
+    The records of a one-record window, or of a window too small for a
+    numpy pass, go one by one through the AEAD, which picks scalar or
+    numpy by ``aead.NUMPY_MIN_BLOCKS``.
     """
 
     def __init__(self, keys: TrafficKeys) -> None:
         self.keys = keys
         self.aead = ChaCha20Poly1305(keys.key)
         self.sequence = 0
-        self._ks_cache: Optional[memoryview] = None
+        self._drop_window()
+
+    def _drop_window(self) -> None:
+        #: Keystream of the current window, or None when its records go
+        #: one by one through the AEAD.
+        self._ks: Optional[memoryview] = None
         self._ks_base = 0
-        self._ks_record_bytes = 0
+        self._ks_records = 0
+        self._ks_slot = 0  # keystream blocks per record
+        #: Whether the last slot of the window was consumed in full.
+        self._ks_used_up = False
 
     def next_nonce(self) -> bytes:
         return self.keys.nonce_for(self.sequence)
@@ -94,52 +108,89 @@ class CipherState:
         self.keys = self.keys.next_generation()
         self.aead = ChaCha20Poly1305(self.keys.key)
         self.sequence = 0
-        self._ks_cache = None
+        self._drop_window()
 
-    def _lookahead(self, payload_length: int) -> Optional[memoryview]:
-        """Keystream slice (OTK block + payload blocks) for the current
-        sequence, or ``None`` when the lookahead should not engage."""
-        if (
-            payload_length < _LOOKAHEAD_MIN_INNER
-            or not _aead.HAVE_NUMPY
-            or not fastpath.flags["crypto.batch"]
-        ):
+    def _in_window(self, blocks: int) -> bool:
+        """Whether the current window has a slot for this record."""
+        offset = self.sequence - self._ks_base
+        return 0 <= offset < self._ks_records and blocks <= self._ks_slot
+
+    def _slot(self, blocks: int) -> Optional[memoryview]:
+        """This record's keystream (OTK block + payload blocks) out of the
+        window, or None when the record goes through the AEAD."""
+        if self._ks is None:
             return None
-        needed = 64 * (1 + (payload_length + 63) // 64)
+        start = (self.sequence - self._ks_base) * self._ks_slot * 64
+        return self._ks[start : start + blocks * 64]
+
+    def _used(self, blocks: int) -> None:
+        """Note a record sealed or opened at the current sequence."""
+        if self.sequence == self._ks_base + self._ks_records - 1:
+            self._ks_used_up = blocks == self._ks_slot
+
+    def _next_window(self) -> int:
+        """Records a window opened at the current sequence should cover."""
+        if self._ks_used_up and self.sequence == self._ks_base + self._ks_records:
+            return min(2 * self._ks_records, LOOKAHEAD_RECORDS)
+        return 1
+
+    def _open_window(self, records: int, blocks: int) -> Optional[memoryview]:
+        """Start a window of ``records`` slots of ``blocks`` blocks at the
+        current sequence, generated only if one numpy pass pays off, and
+        return this record's slot."""
         seq = self.sequence
-        if (
-            self._ks_cache is None
-            or needed > self._ks_record_bytes
-            or not self._ks_base <= seq < self._ks_base + LOOKAHEAD_RECORDS
-        ):
-            nonces = [
-                self.keys.nonce_for(s) for s in range(seq, seq + LOOKAHEAD_RECORDS)
-            ]
-            self._ks_cache = memoryview(
-                chacha20_keystream_multi(self.keys.key, nonces, 0, needed // 64)
+        self._ks = None
+        if records > 1 and _aead.use_numpy(records * blocks):
+            nonces = [self.keys.nonce_for(s) for s in range(seq, seq + records)]
+            self._ks = memoryview(
+                chacha20_keystream_multi(self.keys.key, nonces, 0, blocks)
             )
-            self._ks_base = seq
-            self._ks_record_bytes = needed
-        start = (seq - self._ks_base) * self._ks_record_bytes
-        return self._ks_cache[start : start + needed]
+        self._ks_base = seq
+        self._ks_records = records
+        self._ks_slot = blocks
+        self._ks_used_up = False
+        return self._slot(blocks)
 
     def seal(self, inner: bytes, aad: bytes) -> bytes:
         """Encrypt one record at the current sequence (does not advance)."""
-        keystream = self._lookahead(len(inner))
+        blocks = 1 + (len(inner) + 63) // 64
+        if self._in_window(blocks):
+            keystream = self._slot(blocks)
+        else:
+            keystream = self._open_window(self._next_window(), blocks)
         if keystream is not None:
-            return _aead.seal_with_keystream(keystream, inner, aad)
-        return self.aead.encrypt(self.next_nonce(), inner, aad)
+            sealed = _aead.seal_with_keystream(keystream, inner, aad)
+        else:
+            sealed = self.aead.encrypt(self.next_nonce(), inner, aad)
+        self._used(blocks)
+        return sealed
 
     def open(self, ciphertext: bytes, aad: bytes) -> bytes:
         """Verify + decrypt one record at the current sequence.
 
-        The tag is checked before any plaintext is produced either way,
-        so failed trial decryptions stay cheap on both paths.
+        A failed trial decryption raises before the window changes, and
+        builds none: a record outside the window has its tag checked with
+        a one-block one-time key before any keystream window is generated.
         """
-        keystream = self._lookahead(len(ciphertext) - TAG_LENGTH)
-        if keystream is not None:
-            return _aead.open_with_keystream(keystream, ciphertext, aad)
-        return self.aead.decrypt(self.next_nonce(), ciphertext, aad)
+        blocks = 1 + (len(ciphertext) - TAG_LENGTH + 63) // 64
+        if self._in_window(blocks):
+            keystream = self._slot(blocks)
+            if keystream is not None:
+                plaintext = _aead.open_with_keystream(keystream, ciphertext, aad)
+            else:
+                plaintext = self.aead.decrypt(self.next_nonce(), ciphertext, aad)
+        else:
+            records = self._next_window()
+            if records > 1 and _aead.use_numpy(records * blocks):
+                # Tag first: a foreign or forged record builds no window.
+                body = self.aead.verify(self.next_nonce(), ciphertext, aad)
+                keystream = self._open_window(records, blocks)
+                plaintext = xor_keystream(body, keystream[64:])
+            else:
+                plaintext = self.aead.decrypt(self.next_nonce(), ciphertext, aad)
+                self._open_window(records, blocks)
+        self._used(blocks)
+        return plaintext
 
 
 class RecordEncoder:

@@ -22,7 +22,14 @@ from repro.crypto.chacha20 import chacha20_block, chacha20_encrypt
 from repro.crypto.keyschedule import TrafficKeys
 from repro.crypto.poly1305 import constant_time_equal, poly1305_mac
 from repro.crypto.poly1305_fast import poly1305_mac_fast
-from repro.tls.record import CipherState, ContentType, record_header
+from repro.tls import record as _record_layer
+from repro.tls.record import (
+    LOOKAHEAD_RECORDS,
+    MAX_PLAINTEXT,
+    CipherState,
+    ContentType,
+    record_header,
+)
 from repro.utils.errors import CryptoError
 
 _RNG = random.Random(0x7C9)
@@ -35,6 +42,17 @@ BOUNDARY_SIZES = (
     0, 1, 15, 16, 17, 31, 32, 511, 512, 513,
     1023, 1024, 1025, 2047, 2048, 4096, 16384, 16400,
 )
+
+
+#: Payload sizes whose keystream lies one block below, at and one block
+#: above the scalar/numpy crossover, for seal (one-time key block plus
+#: payload blocks) and for open (payload blocks), each +-1 byte.
+CROSSOVER_SIZES = tuple(sorted({
+    64 * blocks + delta
+    for blocks in range(_aead.NUMPY_MIN_BLOCKS - 3, _aead.NUMPY_MIN_BLOCKS + 2)
+    for delta in (-1, 0, 1)
+    if 64 * blocks + delta >= 0
+}))
 
 
 def _random_bytes(n: int) -> bytes:
@@ -128,14 +146,20 @@ def test_chacha20_keystream_multi_matches_block():
 
 
 def test_chacha20_encrypt_batch_matches_scalar():
-    for size in (0, 1, 63, 64, 65, 512, 4096):
+    # Scalar leg: chacha20_encrypt, which never touches numpy.  Batched
+    # leg: one numpy keystream pass XORed in.
+    if not _aead.HAVE_NUMPY:
+        pytest.skip("numpy unavailable: no vectorized keystream")
+    from repro.crypto.chacha20_fast import chacha20_keystream, xor_keystream
+
+    for size in (0, 1, 63, 64, 65, 512, 4096, *CROSSOVER_SIZES):
         key = _random_bytes(32)
         nonce = _random_bytes(12)
         plaintext = _random_bytes(size)
-        fast = chacha20_encrypt(key, 1, nonce, plaintext)
-        with fastpath.scalar_baseline():
-            scalar = chacha20_encrypt(key, 1, nonce, plaintext)
-        assert fast == scalar, size
+        scalar = chacha20_encrypt(key, 1, nonce, plaintext)
+        n_blocks = (size + 63) // 64
+        batched = xor_keystream(plaintext, chacha20_keystream(key, 1, nonce, n_blocks))
+        assert batched == scalar, size
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +167,7 @@ def test_chacha20_encrypt_batch_matches_scalar():
 # ----------------------------------------------------------------------
 
 def test_aead_seal_open_matches_scalar_baseline():
-    for size in (0, 1, 16, 511, 512, 1024, 4096, 16384):
+    for size in (0, 1, 16, 511, 512, 1024, 4096, 16384, *CROSSOVER_SIZES):
         key = _random_bytes(32)
         nonce = _random_bytes(12)
         aad = _random_bytes(_RNG.randrange(0, 48))
@@ -152,6 +176,7 @@ def test_aead_seal_open_matches_scalar_baseline():
         fast = aead.encrypt(nonce, plaintext, aad)
         with fastpath.scalar_baseline():
             scalar = aead.encrypt(nonce, plaintext, aad)
+            assert aead.decrypt(nonce, fast, aad) == plaintext
         assert fast == scalar, size
         assert aead.decrypt(nonce, fast, aad) == plaintext
 
@@ -177,29 +202,54 @@ def test_aead_keystream_slice_entry_points():
 
 
 # ----------------------------------------------------------------------
-# Record-layer lookahead cache
+# Record-layer readahead window
 # ----------------------------------------------------------------------
 
-def _seal_series(sizes):
-    keys = TrafficKeys.from_secret(b"\x31" * 32)
-    state = CipherState(keys)
+def _record(index: int, size: int):
+    """(inner plaintext, header AAD) of a ``size``-byte record."""
+    inner = bytes([index & 0xFF]) * size + bytes([ContentType.APPLICATION_DATA])
+    return inner, record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
+
+
+def _seal_series(sizes, secret=b"\x31" * 32):
+    state = CipherState(TrafficKeys.from_secret(secret))
     out = []
     for index, size in enumerate(sizes):
-        inner = bytes([index & 0xFF]) * size + bytes([ContentType.APPLICATION_DATA])
-        aad = record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
+        inner, aad = _record(index, size)
         out.append(state.seal(inner, aad))
         state.advance()
     return out
 
 
+def _open_series(sizes, sealed, secret=b"\x31" * 32):
+    state = CipherState(TrafficKeys.from_secret(secret))
+    for index, (size, record) in enumerate(zip(sizes, sealed)):
+        inner, aad = _record(index, size)
+        assert state.open(record, aad) == inner, index
+        state.advance()
+
+
+#: Equal-size runs that end just before, at and just after the window
+#: doubling edges (windows of 1, 2, 4, ... records end after 1, 3, 7,
+#: 15, 31 and 63 records), then a size change mid-window.
+WINDOW_EDGE_SERIES = (
+    [1000] * 2, [1000] * 3, [1000] * 4, [200] * 7, [200] * 8,
+    [4096] * 15, [4096] * 16, [64] * 31, [64] * 32, [16000] * 63 + [100, 16000],
+)
+
+
 def test_record_lookahead_seal_matches_scalar():
-    # Mix sizes so the series crosses the lookahead threshold both ways
-    # and forces cache regeneration (larger record after a small window).
-    sizes = [100, 2048, 2048, 16000, 64, 16000, 1024, 4096, 300, 8192]
-    fast = _seal_series(sizes)
-    with fastpath.scalar_baseline():
-        scalar = _seal_series(sizes)
-    assert fast == scalar
+    # Mix sizes so the series crosses the crossover both ways and forces
+    # a new window (larger record after a small window).
+    mixed = [100, 2048, 2048, 16000, 64, 16000, 1024, 4096, 300, 8192]
+    crossover = [size - 1 for size in CROSSOVER_SIZES if size] * 3
+    for sizes in (mixed, crossover, *WINDOW_EDGE_SERIES):
+        fast = _seal_series(sizes)
+        _open_series(sizes, fast)
+        with fastpath.scalar_baseline():
+            scalar = _seal_series(sizes)
+            _open_series(sizes, fast)
+        assert fast == scalar, sizes
 
 
 def test_record_lookahead_open_and_failed_trial():
@@ -225,14 +275,98 @@ def test_record_rekey_drops_lookahead_cache():
     fast_state = CipherState(keys)
     inner = b"\xbb" * 4096 + bytes([ContentType.APPLICATION_DATA])
     aad = record_header(ContentType.APPLICATION_DATA, len(inner) + TAG_LENGTH)
-    fast_state.seal(inner, aad)  # populates the cache
+    for _ in range(4):  # windows of 1 and 2 records, then one of 4
+        fast_state.seal(inner, aad)
+        fast_state.advance()
     fast_state.rekey()
-    sealed_fast = fast_state.seal(inner, aad)
+    sealed_fast = []
+    for _ in range(4):
+        sealed_fast.append(fast_state.seal(inner, aad))
+        fast_state.advance()
     with fastpath.scalar_baseline():
         scalar_state = CipherState(keys)
         scalar_state.rekey()
-        sealed_scalar = scalar_state.seal(inner, aad)
+        sealed_scalar = []
+        for _ in range(4):
+            sealed_scalar.append(scalar_state.seal(inner, aad))
+            scalar_state.advance()
     assert sealed_fast == sealed_scalar
+
+
+# ----------------------------------------------------------------------
+# Readahead cost: windows hold only keystream a context will use
+# ----------------------------------------------------------------------
+
+@pytest.fixture
+def window_spy(monkeypatch):
+    """Records ``(records, blocks per record)`` of every window built."""
+    if not _aead.HAVE_NUMPY:
+        pytest.skip("numpy unavailable: no readahead windows")
+    windows = []
+    generate = _record_layer.chacha20_keystream_multi
+
+    def spy(key, nonces, counter, blocks_per_nonce):
+        windows.append((len(nonces), blocks_per_nonce))
+        return generate(key, nonces, counter, blocks_per_nonce)
+
+    monkeypatch.setattr(_record_layer, "chacha20_keystream_multi", spy)
+    return windows
+
+
+def test_failed_trial_decryption_builds_no_window(window_spy):
+    keys = TrafficKeys.from_secret(b"\x35" * 32)
+    sender = CipherState(keys)
+    fresh = CipherState(TrafficKeys.from_secret(b"\x36" * 32))
+    inner, aad = _record(0, 2048)
+    sealed = sender.seal(inner, aad)
+    with pytest.raises(CryptoError):
+        fresh.open(sealed, aad)
+    assert window_spy == []
+    # A context whose next record would open a multi-record window still
+    # checks the tag first: a forged record there builds nothing either.
+    sender.advance()
+    forged = bytearray(sender.seal(inner, aad))
+    forged[-1] ^= 1
+    window_spy.clear()  # the sender's own window
+    receiver = CipherState(keys)
+    assert receiver.open(sealed, aad) == inner
+    receiver.advance()
+    with pytest.raises(CryptoError):
+        receiver.open(bytes(forged), aad)
+    assert window_spy == [] and receiver.sequence == 1
+
+
+def test_mixed_record_sizes_generate_at_most_twice_what_they_use(window_spy):
+    # rpc-shaped traffic: log-uniform record sizes from 32 B to 4 KiB.
+    rng = random.Random(0x5EED)
+    sizes = [int(32 * 128 ** rng.random()) for _ in range(400)]
+    sealed = _seal_series(sizes)
+    _open_series(sizes, sealed)
+    consumed = 2 * sum(1 + (size + 1 + 63) // 64 for size in sizes)
+    generated = sum(records * blocks for records, blocks in window_spy)
+    assert generated <= 2 * consumed
+
+
+def test_steady_full_size_records_reach_the_longest_window(window_spy):
+    keys = TrafficKeys.from_secret(b"\x37" * 32)
+    sender = CipherState(keys)
+    receiver = CipherState(keys)
+    wrong = ChaCha20Poly1305(b"\x38" * 32)
+    for index in range(64):
+        inner, aad = _record(index, MAX_PLAINTEXT - 1)
+        sealed = sender.seal(inner, aad)
+        sender.advance()
+        # Failed trials on the receiving context leave its window alone.
+        with pytest.raises(CryptoError):
+            receiver.open(wrong.encrypt(receiver.next_nonce(), inner, aad), aad)
+        assert receiver.open(sealed, aad) == inner
+        receiver.advance()
+    # Each direction: one record alone, then windows of 2, 4, 8 and 16,
+    # and from record 31 on windows of LOOKAHEAD_RECORDS, all 257-block
+    # slots (one-time key block plus 16 KiB of payload).
+    assert sorted(window_spy) == sorted(
+        [(records, 257) for records in (2, 4, 8, 16, LOOKAHEAD_RECORDS, LOOKAHEAD_RECORDS)] * 2
+    )
 
 
 # ----------------------------------------------------------------------
