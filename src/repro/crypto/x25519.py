@@ -1,14 +1,20 @@
 """X25519 Diffie-Hellman key agreement (RFC 7748).
 
-Montgomery-ladder scalar multiplication over Curve25519.  Validated
-against the RFC 7748 section 5.2 test vectors in ``tests/crypto``.
+Montgomery-ladder scalar multiplication over Curve25519 for a peer's
+u-coordinate.  Key generation multiplies the fixed base point u = 9,
+which is the image of the Ed25519 base point B under the birational
+map ``u = (1 + y) / (1 - y)``, so it reuses Ed25519's fixed-base table
+and maps the result to Montgomery form; the result is the same
+u-coordinate the ladder computes.  Validated against the RFC 7748
+section 5.2 test vectors and the ladder in ``tests/crypto``.
 """
 
 from __future__ import annotations
 
+from repro.crypto.ed25519 import _base_mul
+
 _P = 2**255 - 19
 _A24 = 121665
-_BASE_POINT = 9
 
 
 def _clamp_scalar(scalar_bytes: bytes) -> int:
@@ -35,27 +41,28 @@ def _ladder(scalar: int, u: int) -> int:
     x2, z2 = 1, 0
     x3, z3 = u, 1
     swap = 0
-    for bit_index in reversed(range(255)):
+    for bit_index in range(254, -1, -1):
         bit = (scalar >> bit_index) & 1
-        swap ^= bit
-        if swap:
+        if swap ^ bit:
             x2, x3 = x3, x2
             z2, z3 = z3, z2
         swap = bit
 
-        a = (x2 + z2) % _P
-        aa = (a * a) % _P
-        b = (x2 - z2) % _P
-        bb = (b * b) % _P
-        e = (aa - bb) % _P
-        c = (x3 + z3) % _P
-        d = (x3 - z3) % _P
-        da = (d * a) % _P
-        cb = (c * b) % _P
-        x3 = pow(da + cb, 2, _P)
-        z3 = (x1 * pow(da - cb, 2, _P)) % _P
-        x2 = (aa * bb) % _P
-        z2 = (e * (aa + _A24 * e)) % _P
+        # Sums and differences stay unreduced: every product below is
+        # reduced mod p, and squares are plain products (cheaper than pow).
+        a = x2 + z2
+        aa = a * a % _P
+        b = x2 - z2
+        bb = b * b % _P
+        e = aa - bb
+        da = (x3 - z3) * a % _P
+        cb = (x3 + z3) * b % _P
+        t = da + cb
+        x3 = t * t % _P
+        t = da - cb
+        z3 = x1 * t * t % _P
+        x2 = aa * bb % _P
+        z2 = e * (aa + _A24 * e) % _P
 
     if swap:
         x2, x3 = x3, x2
@@ -72,8 +79,9 @@ def x25519(scalar_bytes: bytes, u_bytes: bytes) -> bytes:
 
 def x25519_base(scalar_bytes: bytes) -> bytes:
     """Compute the public key for a private scalar (scalar * base point 9)."""
-    scalar = _clamp_scalar(scalar_bytes)
-    return _ladder(scalar, _BASE_POINT).to_bytes(32, "little")
+    _, y, z, _ = _base_mul(_clamp_scalar(scalar_bytes))
+    # The identity (y = z) maps to u = 0, as the ladder returns for it.
+    return ((z + y) * pow(z - y, _P - 2, _P) % _P).to_bytes(32, "little")
 
 
 class X25519PrivateKey:

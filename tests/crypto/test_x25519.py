@@ -1,5 +1,7 @@
 """RFC 7748 test vectors for X25519."""
 
+import random
+
 from repro.crypto.x25519 import X25519PrivateKey, x25519, x25519_base
 
 
@@ -68,3 +70,13 @@ def test_iterated_ladder_1000():
     assert k == bytes.fromhex(
         "684cf59ba83309552800ef566f2f4d3c1c3887c49360e3875f2eb94d99532c51"
     )
+
+
+def test_base_table_matches_ladder():
+    # x25519_base maps the Ed25519 fixed-base table's result to u;
+    # x25519 with u = 9 runs the Montgomery ladder.
+    rng = random.Random(0x25519)
+    base = (9).to_bytes(32, "little")
+    for _ in range(256):
+        secret = rng.randbytes(32)
+        assert x25519_base(secret) == x25519(secret, base)
